@@ -1,7 +1,8 @@
 package burtree_test
 
 // Benchmark harness: one benchmark per table/figure of the paper's
-// evaluation (see DESIGN.md for the experiment index), plus per-
+// evaluation (`go run ./cmd/burbench -list` prints the experiment index;
+// README, "Reproducing the paper's experiments"), plus per-
 // operation micro-benchmarks and ablation benches for the design choices
 // the paper motivates.
 //
@@ -179,7 +180,7 @@ func BenchmarkInsert(b *testing.B) {
 	}
 }
 
-// --- Ablation benches (design choices called out in DESIGN.md) --------
+// --- Ablation benches (the GBU design choices of internal/exp/ablation.go) --
 
 // BenchmarkAblationPiggyback isolates the effect of piggybacked sibling
 // shifts on update cost.

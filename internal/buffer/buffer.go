@@ -177,6 +177,43 @@ func (p *Pool) ReadPage(id pagestore.PageID, dst []byte) error {
 	}
 }
 
+// Scanner reads one page in place. Scan may run under the pool latch on
+// the resident frame itself, so it must only read the page, must not
+// retain it past the call, must not call back into the pool, and must
+// stay short: at most one read-only pass over the page.
+type Scanner interface {
+	Scan(page []byte)
+}
+
+// ScanPage runs s over the contents of page id. On a hit it scans the
+// resident frame in place under the pool latch — no copy, with exactly
+// ReadPage's LRU move and hit count. Anything else (a miss, an
+// in-flight write-back, a capacity-zero pool) reads the page into
+// scratch through ReadPage, so it is charged exactly as ReadPage
+// charges it, and scans scratch. scratch must be exactly one page
+// long.
+func (p *Pool) ScanPage(id pagestore.PageID, scratch []byte, s Scanner) error {
+	if len(scratch) != p.store.PageSize() {
+		return pagestore.ErrPageSize
+	}
+	if p.cap > 0 {
+		p.mu.Lock()
+		if el, ok := p.frames[id]; ok {
+			p.lru.MoveToFront(el)
+			s.Scan(el.Value.(*frame).data)
+			p.mu.Unlock()
+			p.io.CountBufferHit()
+			return nil
+		}
+		p.mu.Unlock()
+	}
+	if err := p.ReadPage(id, scratch); err != nil {
+		return err
+	}
+	s.Scan(scratch)
+	return nil
+}
+
 // WritePage stores the page contents in the buffer, deferring the
 // physical write until eviction or Flush. src must be exactly one page
 // long.

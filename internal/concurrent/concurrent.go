@@ -14,12 +14,13 @@
 // Physical integrity is provided by a coarse reader-writer latch: the
 // paper's interest is the throughput effect of cheaper updates (shorter
 // exclusive sections), which this preserves, while queries — the
-// read-heavy end of the mix — run fully in parallel. DESIGN.md records
-// this substitution.
+// read-heavy end of the mix — run fully in parallel. The README section
+// "Concurrent reads & consistency" states the guarantees callers get.
 package concurrent
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -138,14 +139,19 @@ func (d *DB) pageGranule(p rtree.PageID) dgl.GranuleID {
 // updates at all (TD), the operation escalates to X on the tree granule
 // plus the exclusive latch.
 func (d *DB) Update(oid rtree.OID, old, new geom.Point) error {
-	cells := []dgl.GranuleID{d.cellOf(old), d.cellOf(new)}
-	if cells[0] == cells[1] {
-		cells = cells[:1]
+	// Room for the two cells plus the leaf and parent page granules.
+	var cells [4]dgl.GranuleID
+	cells[0], cells[1] = d.cellOf(old), d.cellOf(new)
+	nc := 2
+	switch {
+	case cells[0] == cells[1]:
+		nc = 1
+	case cells[0] > cells[1]:
+		cells[0], cells[1] = cells[1], cells[0]
 	}
-	sort.Slice(cells, func(i, j int) bool { return cells[i] < cells[j] })
 
 	if lu, ok := d.u.(core.LocalUpdater); ok {
-		done, err := d.tryLocal(lu, oid, old, new, cells)
+		done, err := d.tryLocal(lu, oid, old, new, cells[:nc])
 		if done || err != nil {
 			if err == nil {
 				d.updates.Add(1)
@@ -156,28 +162,53 @@ func (d *DB) Update(oid rtree.OID, old, new geom.Point) error {
 	}
 
 	// Escalate: exclusive over the whole index.
+	txn, err := d.lockExclusive(oid)
+	if err != nil {
+		return err
+	}
+	d.latch.Lock()
+	err = d.u.Update(oid, old, new)
+	d.latch.Unlock()
+	d.lm.ReleaseAll(txn)
+	if err == nil {
+		d.updates.Add(1)
+		d.escalated.Add(1)
+	}
+	return err
+}
+
+// lockExclusive takes X on the tree granule for an escalated move of
+// oid, retrying lock timeouts. The caller runs the move under the
+// exclusive latch, then releases txn.
+func (d *DB) lockExclusive(oid rtree.OID) (*dgl.Txn, error) {
 	const maxAttempts = 8
+	txn := d.lm.Begin()
 	for attempt := 0; ; attempt++ {
-		txn := d.lm.Begin()
 		err := d.lm.Acquire(txn, TreeGranule, dgl.X, d.timeout)
 		if err == nil {
-			d.latch.Lock()
-			err = d.u.Update(oid, old, new)
-			d.latch.Unlock()
-			d.lm.ReleaseAll(txn)
-			if err == nil {
-				d.updates.Add(1)
-				d.escalated.Add(1)
-			}
-			return err
+			return txn, nil
 		}
-		d.lm.ReleaseAll(txn)
+		// A timed-out request is withdrawn and nothing else is held,
+		// so txn can simply try again.
 		d.timeouts.Add(1)
 		if attempt+1 >= maxAttempts {
-			return fmt.Errorf("concurrent: update %d: %w", oid, err)
+			return nil, fmt.Errorf("concurrent: update %d: %w", oid, err)
 		}
 		d.retries.Add(1)
 	}
+}
+
+// lockSet appends the page granules of scope to cells in ascending
+// order, giving the global acquisition order (tree, cells, pages) that
+// lockAll needs. cells must already be sorted; spare capacity beyond
+// it is reused, so callers size it for the scope.
+func (d *DB) lockSet(cells []dgl.GranuleID, scope []rtree.PageID) []dgl.GranuleID {
+	out := cells
+	for _, p := range scope {
+		out = append(out, d.pageGranule(p))
+	}
+	slices.Sort(out[len(cells):])
+	return out
 }
 
 // tryLocal attempts the fine-grained path: lock the movement cells and
@@ -195,14 +226,9 @@ func (d *DB) tryLocal(lu core.LocalUpdater, oid rtree.OID, old, new geom.Point, 
 			// path produce the definitive error.
 			return false, nil
 		}
-		granules := make([]dgl.GranuleID, 0, len(scope))
-		for _, p := range scope {
-			granules = append(granules, d.pageGranule(p))
-		}
-		sort.Slice(granules, func(i, j int) bool { return granules[i] < granules[j] })
 
 		txn := d.lm.Begin()
-		if err := d.lockAll(txn, dgl.IX, dgl.X, append(append([]dgl.GranuleID{}, cells...), granules...)); err != nil {
+		if err := d.lockAll(txn, dgl.IX, dgl.X, d.lockSet(cells, scope)); err != nil {
 			d.lm.ReleaseAll(txn)
 			d.timeouts.Add(1)
 			d.retries.Add(1)
@@ -211,7 +237,7 @@ func (d *DB) tryLocal(lu core.LocalUpdater, oid rtree.OID, old, new geom.Point, 
 		// Re-validate under the locks.
 		d.latch.RLock()
 		scope2, err := lu.LocalScope(oid)
-		if err != nil || !samePages(scope, scope2) {
+		if err != nil || !slices.Equal(scope, scope2) {
 			d.latch.RUnlock()
 			d.lm.ReleaseAll(txn)
 			if err != nil {
@@ -226,18 +252,6 @@ func (d *DB) tryLocal(lu core.LocalUpdater, oid rtree.OID, old, new geom.Point, 
 		return done, err
 	}
 	return false, nil // give up on the fine path; escalate
-}
-
-func samePages(a, b []rtree.PageID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Insert adds an object under IX(tree) + X(cell).
@@ -428,22 +442,18 @@ func (d *DB) applySequential(cs []core.BatchChange, st *core.BatchStats, done fu
 // applyGroup locks one leaf-group's scope — IX on the tree, X on the
 // movement cells of every member, X on the leaf and parent page
 // granules — and resolves as much of the group as possible under the
-// shared latch. Members that moved leaves in the meantime or need
-// non-local work are handed to the per-object Update path afterwards.
+// shared latch. Members that moved leaves in the meantime go to the
+// per-object Update path afterwards; members that need non-local work
+// escalate directly (escalateDeclined).
 func (d *DB) applyGroup(ga core.GroupApplier, lu core.LocalUpdater, leaf rtree.PageID, group []core.BatchChange, st *core.BatchStats, done func(core.BatchChange)) error {
-	escalateAll := func(cs []core.BatchChange) error { return d.applySequential(cs, st, done) }
-
-	// The union of the group's movement cells, sorted and deduplicated.
-	cellSet := make(map[dgl.GranuleID]bool, 2*len(group))
+	// The union of the group's movement cells, sorted and deduplicated,
+	// with room for the leaf and parent page granules.
+	cells := make([]dgl.GranuleID, 0, 2*len(group)+2)
 	for _, c := range group {
-		cellSet[d.cellOf(c.Old)] = true
-		cellSet[d.cellOf(c.New)] = true
+		cells = append(cells, d.cellOf(c.Old), d.cellOf(c.New))
 	}
-	cells := make([]dgl.GranuleID, 0, len(cellSet))
-	for id := range cellSet {
-		cells = append(cells, id)
-	}
-	sort.Slice(cells, func(i, j int) bool { return cells[i] < cells[j] })
+	slices.Sort(cells)
+	cells = slices.Compact(cells)
 
 	const maxAttempts = 8
 	for attempt := 0; attempt < maxAttempts; attempt++ {
@@ -451,7 +461,7 @@ func (d *DB) applyGroup(ga core.GroupApplier, lu core.LocalUpdater, leaf rtree.P
 		scope, err := lu.LocalScope(group[0].OID)
 		d.latch.RUnlock()
 		if err != nil {
-			return escalateAll(group)
+			return d.applySequential(group, st, done)
 		}
 		// The granules to lock are the GROUP's leaf and its parent. If
 		// group[0]'s object has already moved to another leaf, its scope
@@ -459,16 +469,11 @@ func (d *DB) applyGroup(ga core.GroupApplier, lu core.LocalUpdater, leaf rtree.P
 		// remaining members write the original leaf without holding its
 		// granule. Escalate instead; each member then locks for itself.
 		if len(scope) == 0 || scope[0] != leaf {
-			return escalateAll(group)
+			return d.applySequential(group, st, done)
 		}
-		granules := make([]dgl.GranuleID, 0, len(scope))
-		for _, p := range scope {
-			granules = append(granules, d.pageGranule(p))
-		}
-		sort.Slice(granules, func(i, j int) bool { return granules[i] < granules[j] })
 
 		txn := d.lm.Begin()
-		if err := d.lockAll(txn, dgl.IX, dgl.X, append(append([]dgl.GranuleID{}, cells...), granules...)); err != nil {
+		if err := d.lockAll(txn, dgl.IX, dgl.X, d.lockSet(cells, scope)); err != nil {
 			d.lm.ReleaseAll(txn)
 			d.timeouts.Add(1)
 			d.retries.Add(1)
@@ -478,11 +483,11 @@ func (d *DB) applyGroup(ga core.GroupApplier, lu core.LocalUpdater, leaf rtree.P
 		// every member must still live in this leaf; stragglers escalate.
 		d.latch.RLock()
 		scope2, err := lu.LocalScope(group[0].OID)
-		if err != nil || !samePages(scope, scope2) {
+		if err != nil || !slices.Equal(scope, scope2) {
 			d.latch.RUnlock()
 			d.lm.ReleaseAll(txn)
 			if err != nil {
-				return escalateAll(group)
+				return d.applySequential(group, st, done)
 			}
 			d.retries.Add(1)
 			continue
@@ -495,7 +500,11 @@ func (d *DB) applyGroup(ga core.GroupApplier, lu core.LocalUpdater, leaf rtree.P
 				stale = append(stale, c)
 			}
 		}
-		var groupResolved, localResolved, unresolved []core.BatchChange
+		// resolved collects the members applied under the group's
+		// locks; declined the ones that need an ascent or a top-down
+		// pass.
+		var resolved, declined []core.BatchChange
+		groupResolved := 0
 		if len(members) > 0 {
 			un, err := ga.ApplyLeafGroup(leaf, members)
 			if err != nil {
@@ -503,15 +512,12 @@ func (d *DB) applyGroup(ga core.GroupApplier, lu core.LocalUpdater, leaf rtree.P
 				d.lm.ReleaseAll(txn)
 				return err
 			}
-			declined := make(map[rtree.OID]bool, len(un))
-			for _, c := range un {
-				declined[c.OID] = true
-			}
 			for _, c := range members {
-				if !declined[c.OID] {
-					groupResolved = append(groupResolved, c)
+				if !slices.ContainsFunc(un, func(u core.BatchChange) bool { return u.OID == c.OID }) {
+					resolved = append(resolved, c)
 				}
 			}
+			groupResolved = len(resolved)
 			// Per-object local attempts while the leaf is still buffered
 			// and the granules are still held.
 			for _, c := range un {
@@ -522,18 +528,18 @@ func (d *DB) applyGroup(ga core.GroupApplier, lu core.LocalUpdater, leaf rtree.P
 					return err
 				}
 				if ok {
-					localResolved = append(localResolved, c)
+					resolved = append(resolved, c)
 				} else {
-					unresolved = append(unresolved, c)
+					declined = append(declined, c)
 				}
 			}
 		}
 		d.latch.RUnlock()
 		d.lm.ReleaseAll(txn)
 
-		st.GroupResolved += len(groupResolved)
-		st.LocalFallback += len(localResolved)
-		for _, c := range append(groupResolved, localResolved...) {
+		st.GroupResolved += groupResolved
+		st.LocalFallback += len(resolved) - groupResolved
+		for _, c := range resolved {
 			d.updates.Add(1)
 			d.local.Add(1)
 			d.batched.Add(1)
@@ -542,11 +548,47 @@ func (d *DB) applyGroup(ga core.GroupApplier, lu core.LocalUpdater, leaf rtree.P
 				done(c)
 			}
 		}
-		if err := escalateAll(stale); err != nil {
+		if err := d.applySequential(stale, st, done); err != nil {
 			return err
 		}
-		return escalateAll(unresolved)
+		return d.escalateDeclined(ga, leaf, declined, st, done)
 	}
 	// Lock acquisition kept failing; take the per-object path.
-	return escalateAll(group)
+	return d.applySequential(group, st, done)
+}
+
+// escalateDeclined applies moves of leaf's group that both the group
+// pass and the local attempt declined under the group's locks. They
+// need an ascent or a top-down pass, so repeating the local attempt
+// (as the per-object Update path would, twice) cannot help: each goes
+// straight to X on the tree plus the exclusive latch and through
+// UpdateAtLeaf, which re-resolves objects that moved and leaves that
+// were freed since. Every move takes its own short exclusive section;
+// holding one across the batch would stall other clients' reads for
+// the whole remainder.
+func (d *DB) escalateDeclined(ga core.GroupApplier, leaf rtree.PageID, cs []core.BatchChange, st *core.BatchStats, done func(core.BatchChange)) error {
+	for _, c := range cs {
+		txn, err := d.lockExclusive(c.OID)
+		if err != nil {
+			return err
+		}
+		d.latch.Lock()
+		applied, err := ga.UpdateAtLeaf(leaf, c, false)
+		d.latch.Unlock()
+		d.lm.ReleaseAll(txn)
+		if err != nil {
+			return err
+		}
+		if !applied {
+			return fmt.Errorf("concurrent: batch update %d: per-object pass declined a full update", c.OID)
+		}
+		d.updates.Add(1)
+		d.escalated.Add(1)
+		st.Changes++
+		st.LocalFallback++
+		if done != nil {
+			done(c)
+		}
+	}
+	return nil
 }

@@ -86,19 +86,63 @@ type GranuleID uint64
 // caller should release everything and retry (deadlock recovery).
 var ErrTimeout = errors.New("dgl: lock wait timed out")
 
-// Txn is one lock owner.
+// Txn is one lock owner. Its held locks live in a small slice backed
+// by an inline array, so a transaction of up to heldInline granules
+// costs one allocation (Begin) and ReleaseAll keeps the capacity: a
+// Txn may be reused for another round of Acquire calls after
+// ReleaseAll.
 type Txn struct {
-	id   uint64
-	mu   sync.Mutex
-	held map[GranuleID]Mode
+	id      uint64
+	mu      sync.Mutex
+	held    []heldLock
+	heldBuf [heldInline]heldLock
 }
 
-// Manager is the lock table.
+// heldInline covers the common update footprint: the tree granule, a
+// few movement cells and a leaf plus parent page.
+const heldInline = 8
+
+type heldLock struct {
+	g    GranuleID
+	mode Mode
+}
+
+// heldLocked returns the mode txn holds on g. Caller holds t.mu.
+func (t *Txn) heldLocked(g GranuleID) (Mode, bool) {
+	for _, h := range t.held {
+		if h.g == g {
+			return h.mode, true
+		}
+	}
+	return 0, false
+}
+
+// setHeld records mode on g, replacing an earlier (weaker) mode.
+func (t *Txn) setHeld(g GranuleID, mode Mode) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for i := range t.held {
+		if t.held[i].g == g {
+			t.held[i].mode = mode
+			return
+		}
+	}
+	t.held = append(t.held, heldLock{g: g, mode: mode})
+}
+
+// Manager is the lock table. Granules are created on first use and
+// dropped once they have no holder and no waiter; dropped granules are
+// kept on a bounded free list and reused, so the uncontended
+// acquire/release cycle allocates nothing.
 type Manager struct {
 	mu       sync.Mutex
 	granules map[GranuleID]*granule
+	free     []*granule
 	nextTxn  uint64
 }
+
+// maxFreeGranules bounds the recycled-granule list.
+const maxFreeGranules = 256
 
 type waiter struct {
 	txn     *Txn
@@ -108,9 +152,52 @@ type waiter struct {
 	granted bool
 }
 
+// granule is one lock-table entry. holders has at most one entry per
+// Txn; holder sets are small (a handful of concurrent operations), so
+// a slice scan beats a map and allocates nothing once grown.
 type granule struct {
-	holders map[*Txn]Mode
+	holders []holder
 	queue   []*waiter
+}
+
+type holder struct {
+	txn  *Txn
+	mode Mode
+}
+
+// setHolder grants mode to txn, replacing its earlier mode if any.
+func (gr *granule) setHolder(txn *Txn, mode Mode) {
+	for i := range gr.holders {
+		if gr.holders[i].txn == txn {
+			gr.holders[i].mode = mode
+			return
+		}
+	}
+	gr.holders = append(gr.holders, holder{txn: txn, mode: mode})
+}
+
+// removeHolder drops txn from the holder set (order is irrelevant).
+func (gr *granule) removeHolder(txn *Txn) {
+	for i := range gr.holders {
+		if gr.holders[i].txn == txn {
+			last := len(gr.holders) - 1
+			gr.holders[i] = gr.holders[last]
+			gr.holders[last] = holder{}
+			gr.holders = gr.holders[:last]
+			return
+		}
+	}
+}
+
+// compatibleLocked reports whether mode is compatible with every
+// holder of gr other than txn itself.
+func (gr *granule) compatibleLocked(txn *Txn, mode Mode) bool {
+	for _, h := range gr.holders {
+		if h.txn != txn && !Compatible(h.mode, mode) {
+			return false
+		}
+	}
+	return true
 }
 
 // NewManager creates an empty lock table.
@@ -124,15 +211,16 @@ func (m *Manager) Begin() *Txn {
 	m.nextTxn++
 	id := m.nextTxn
 	m.mu.Unlock()
-	return &Txn{id: id, held: make(map[GranuleID]Mode)}
+	t := &Txn{id: id}
+	t.held = t.heldBuf[:0]
+	return t
 }
 
 // Held returns the mode txn holds on g (and whether it holds anything).
 func (t *Txn) Held(g GranuleID) (Mode, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	m, ok := t.held[g]
-	return m, ok
+	return t.heldLocked(g)
 }
 
 // HeldCount returns the number of granules the transaction holds.
@@ -145,9 +233,11 @@ func (t *Txn) HeldCount() int {
 // Acquire obtains (or upgrades to) the given mode on granule g, waiting
 // up to timeout (0 means wait forever). On ErrTimeout the request is
 // withdrawn; locks already held are untouched.
+//
+//burlint:hotpath
 func (m *Manager) Acquire(txn *Txn, g GranuleID, mode Mode, timeout time.Duration) error {
 	txn.mu.Lock()
-	cur, holds := txn.held[g]
+	cur, holds := txn.heldLocked(g)
 	txn.mu.Unlock()
 	target := mode
 	upgrade := false
@@ -162,23 +252,29 @@ func (m *Manager) Acquire(txn *Txn, g GranuleID, mode Mode, timeout time.Duratio
 	m.mu.Lock()
 	gr := m.granules[g]
 	if gr == nil {
-		gr = &granule{holders: make(map[*Txn]Mode)}
+		gr = m.newGranuleLocked()
 		m.granules[g] = gr
 	}
-	if m.grantableLocked(gr, txn, target, upgrade) {
-		gr.holders[txn] = target
+	// Fresh requests respect FIFO: they are granted only when no other
+	// request is queued. Upgrades only check the other current holders.
+	if (upgrade || len(gr.queue) == 0) && gr.compatibleLocked(txn, target) {
+		gr.setHolder(txn, target)
 		m.mu.Unlock()
-		txn.mu.Lock()
-		txn.held[g] = target
-		txn.mu.Unlock()
+		txn.setHeld(g, target)
 		return nil
 	}
+	return m.wait(txn, g, gr, target, upgrade, timeout)
+}
+
+// wait queues a request that cannot be granted now and blocks until it
+// is granted or times out. Caller holds m.mu; wait releases it.
+func (m *Manager) wait(txn *Txn, g GranuleID, gr *granule, target Mode, upgrade bool, timeout time.Duration) error {
 	w := &waiter{txn: txn, mode: target, upgrade: upgrade, ready: make(chan struct{})}
+	gr.queue = append(gr.queue, w)
 	if upgrade {
 		// Conversions queue ahead of fresh requests to bound starvation.
-		gr.queue = append([]*waiter{w}, gr.queue...)
-	} else {
-		gr.queue = append(gr.queue, w)
+		copy(gr.queue[1:], gr.queue[:len(gr.queue)-1])
+		gr.queue[0] = w
 	}
 	m.mu.Unlock()
 
@@ -191,9 +287,7 @@ func (m *Manager) Acquire(txn *Txn, g GranuleID, mode Mode, timeout time.Duratio
 	}
 	select {
 	case <-w.ready:
-		txn.mu.Lock()
-		txn.held[g] = target
-		txn.mu.Unlock()
+		txn.setHeld(g, target)
 		return nil
 	case <-timeoutC:
 		m.mu.Lock()
@@ -201,46 +295,46 @@ func (m *Manager) Acquire(txn *Txn, g GranuleID, mode Mode, timeout time.Duratio
 			// Lost the race: the grant landed before the withdrawal.
 			m.mu.Unlock()
 			<-w.ready
-			txn.mu.Lock()
-			txn.held[g] = target
-			txn.mu.Unlock()
+			txn.setHeld(g, target)
 			return nil
 		}
 		for i, q := range gr.queue {
 			if q == w {
-				gr.queue = append(gr.queue[:i], gr.queue[i+1:]...)
+				copy(gr.queue[i:], gr.queue[i+1:])
+				gr.queue[len(gr.queue)-1] = nil
+				gr.queue = gr.queue[:len(gr.queue)-1]
 				break
 			}
 		}
+		// The withdrawn request may have been the only thing holding
+		// back the requests queued behind it.
+		m.wakeLocked(g, gr)
 		m.mu.Unlock()
 		return fmt.Errorf("%w: granule %d mode %v", ErrTimeout, g, target)
 	}
 }
 
-// grantableLocked reports whether txn may take mode on gr right now.
-// Fresh requests respect FIFO: they are granted only when no other
-// request is queued. Upgrades only check the other current holders.
-func (m *Manager) grantableLocked(gr *granule, txn *Txn, mode Mode, upgrade bool) bool {
-	if !upgrade && len(gr.queue) > 0 {
-		return false
+// newGranuleLocked returns a recycled granule, or a new one.
+func (m *Manager) newGranuleLocked() *granule {
+	if n := len(m.free); n > 0 {
+		gr := m.free[n-1]
+		m.free[n-1] = nil
+		m.free = m.free[:n-1]
+		return gr
 	}
-	for holder, hm := range gr.holders {
-		if holder == txn {
-			continue
-		}
-		if !Compatible(hm, mode) {
-			return false
-		}
-	}
-	return true
+	return &granule{}
 }
 
 // Release drops txn's lock on g and wakes compatible waiters.
 func (m *Manager) Release(txn *Txn, g GranuleID) {
 	txn.mu.Lock()
-	_, ok := txn.held[g]
-	if ok {
-		delete(txn.held, g)
+	ok := false
+	for i := range txn.held {
+		if txn.held[i].g == g {
+			txn.held = append(txn.held[:i], txn.held[i+1:]...)
+			ok = true
+			break
+		}
 	}
 	txn.mu.Unlock()
 	if !ok {
@@ -248,63 +342,62 @@ func (m *Manager) Release(txn *Txn, g GranuleID) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.releaseLocked(txn, g)
+}
+
+// ReleaseAll drops every lock txn holds. The Txn keeps its capacity and
+// may be used again.
+//
+//burlint:hotpath
+func (m *Manager) ReleaseAll(txn *Txn) {
+	// txn.mu is taken before m.mu here and never the other way round
+	// (Acquire drops each before taking the other), so the nesting is
+	// deadlock-free.
+	txn.mu.Lock()
+	defer txn.mu.Unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, h := range txn.held {
+		m.releaseLocked(txn, h.g)
+	}
+	txn.held = txn.held[:0]
+}
+
+// releaseLocked drops txn from g's holders and wakes the queue.
+func (m *Manager) releaseLocked(txn *Txn, g GranuleID) {
 	gr := m.granules[g]
 	if gr == nil {
 		return
 	}
-	delete(gr.holders, txn)
+	gr.removeHolder(txn)
 	m.wakeLocked(g, gr)
 }
 
-// ReleaseAll drops every lock txn holds.
-func (m *Manager) ReleaseAll(txn *Txn) {
-	txn.mu.Lock()
-	ids := make([]GranuleID, 0, len(txn.held))
-	for g := range txn.held {
-		ids = append(ids, g)
-	}
-	txn.held = make(map[GranuleID]Mode)
-	txn.mu.Unlock()
-
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, g := range ids {
-		gr := m.granules[g]
-		if gr == nil {
-			continue
-		}
-		delete(gr.holders, txn)
-		m.wakeLocked(g, gr)
-	}
-}
-
-// wakeLocked grants the longest compatible prefix of the wait queue.
+// wakeLocked grants the longest compatible prefix of the wait queue,
+// then drops the granule onto the free list if nothing holds or awaits
+// it.
 func (m *Manager) wakeLocked(g GranuleID, gr *granule) {
-	for len(gr.queue) > 0 {
-		w := gr.queue[0]
-		if !m.grantableNowLocked(gr, w) {
+	n := 0
+	for ; n < len(gr.queue); n++ {
+		w := gr.queue[n]
+		if !gr.compatibleLocked(w.txn, w.mode) {
 			break
 		}
-		gr.queue = gr.queue[1:]
-		gr.holders[w.txn] = w.mode
+		gr.setHolder(w.txn, w.mode)
 		w.granted = true
 		close(w.ready)
 	}
+	if n > 0 {
+		rest := copy(gr.queue, gr.queue[n:])
+		clear(gr.queue[rest:])
+		gr.queue = gr.queue[:rest]
+	}
 	if len(gr.holders) == 0 && len(gr.queue) == 0 {
 		delete(m.granules, g)
-	}
-}
-
-func (m *Manager) grantableNowLocked(gr *granule, w *waiter) bool {
-	for holder, hm := range gr.holders {
-		if holder == w.txn {
-			continue
-		}
-		if !Compatible(hm, w.mode) {
-			return false
+		if len(m.free) < maxFreeGranules {
+			m.free = append(m.free, gr)
 		}
 	}
-	return true
 }
 
 // Stats reports the current lock table occupancy.

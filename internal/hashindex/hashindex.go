@@ -43,10 +43,60 @@ type Index struct {
 	stripes  [64]stripe
 }
 
-// stripe is one latch plus its private scratch page.
+// stripe is one latch plus its private scratch: the page buffer, the
+// lookup scan, and the decoded pages Set, Delete and ComputeStats
+// reuse (Set holds at most three at once: the page being read, the
+// first page with a free slot and the chain's last page).
 type stripe struct {
 	mu      sync.Mutex
 	pageBuf []byte
+	scan    lookupScan
+	pages   [3]page
+}
+
+// freePage returns a stripe page that is neither a nor b.
+func (st *stripe) freePage(a, b *page) *page {
+	for i := range st.pages {
+		if p := &st.pages[i]; p != a && p != b {
+			return p
+		}
+	}
+	panic("hashindex: no free stripe page")
+}
+
+// lookupScan searches one bucket page for an oid in place (a
+// buffer.Scanner). Each stripe owns one, so Lookup hands it to the pool
+// without allocating; the stripe latch serializes its use.
+type lookupScan struct {
+	slotsPer int
+	oid      uint64
+
+	magic byte
+	count int
+	found bool
+	leaf  pagestore.PageID
+	next  pagestore.PageID
+}
+
+// Scan records the page header and, when the header is sane, the
+// oid's leaf or the chain's next page. A bad header stops the scan
+// before any slot is read; Lookup turns it into an error.
+func (s *lookupScan) Scan(b []byte) {
+	s.magic = b[0]
+	s.count = int(binary.LittleEndian.Uint16(b[2:]))
+	s.found = false
+	if s.magic != pageMagic || s.count > s.slotsPer {
+		return
+	}
+	s.next = pagestore.PageID(binary.LittleEndian.Uint64(b[8:]))
+	oid := s.oid
+	for slots := b[headerSize : headerSize+s.count*slotSize]; len(slots) >= slotSize; slots = slots[slotSize:] {
+		if binary.LittleEndian.Uint64(slots) == oid {
+			s.found = true
+			s.leaf = pagestore.PageID(binary.LittleEndian.Uint64(slots[8:]))
+			return
+		}
+	}
 }
 
 // page is the decoded form of one hash page.
@@ -77,6 +127,7 @@ func New(pool *buffer.Pool, expectedSize int) *Index {
 	}
 	for i := range idx.stripes {
 		idx.stripes[i].pageBuf = make([]byte, ps)
+		idx.stripes[i].scan.slotsPer = slots
 	}
 	// Bucket heads are created lazily (InvalidPage marks an empty bucket)
 	// so small indexes stay small.
@@ -102,24 +153,28 @@ func (x *Index) bucketFor(oid uint64) int {
 // one page read each.
 func (x *Index) Bucket(oid uint64) int { return x.bucketFor(oid) }
 
-// Lookup returns the leaf page currently holding oid.
+// Lookup returns the leaf page currently holding oid. It scans each
+// bucket page in place in the buffer pool (buffer.Pool.ScanPage):
+// no page copy, no decode, no allocation.
+//
+//burlint:hotpath
 func (x *Index) Lookup(oid uint64) (pagestore.PageID, error) {
 	b := x.bucketFor(oid)
 	st := &x.stripes[b%len(x.stripes)]
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	head := x.buckets[b]
-	for pid := head; pid != pagestore.InvalidPage; {
-		p, err := x.readPage(st, pid)
-		if err != nil {
+	sc := &st.scan
+	sc.oid = oid
+	for pid := x.buckets[b]; pid != pagestore.InvalidPage; pid = sc.next {
+		if err := x.pool.ScanPage(pid, st.pageBuf, sc); err != nil {
+			return pagestore.InvalidPage, fmt.Errorf("hashindex: reading page %d: %w", pid, err)
+		}
+		if err := x.checkHeader(pid, sc.magic, sc.count); err != nil {
 			return pagestore.InvalidPage, err
 		}
-		for i, o := range p.oids {
-			if o == oid {
-				return p.leafs[i], nil
-			}
+		if sc.found {
+			return sc.leaf, nil
 		}
-		pid = p.next
 	}
 	return pagestore.InvalidPage, fmt.Errorf("%w: %d", ErrNotFound, oid)
 }
@@ -141,8 +196,8 @@ func (x *Index) Set(oid uint64, leaf pagestore.PageID) error {
 		last           *page
 	)
 	for pid := head; pid != pagestore.InvalidPage; {
-		p, err := x.readPage(st, pid)
-		if err != nil {
+		p := st.freePage(firstWithSpace, last)
+		if err := x.readPage(st, pid, p); err != nil {
 			return err
 		}
 		for i, o := range p.oids {
@@ -167,9 +222,10 @@ func (x *Index) Set(oid uint64, leaf pagestore.PageID) error {
 		return x.writePage(st, firstWithSpace)
 	}
 	// Allocate a new page: either a new bucket head or an overflow page.
-	np := &page{id: x.pool.Store().Alloc(), next: pagestore.InvalidPage}
-	np.oids = append(np.oids, oid)
-	np.leafs = append(np.leafs, leaf)
+	np := st.freePage(last, nil)
+	np.id, np.next = x.pool.Store().Alloc(), pagestore.InvalidPage
+	np.oids = append(np.oids[:0], oid)
+	np.leafs = append(np.leafs[:0], leaf)
 	if err := x.writePage(st, np); err != nil {
 		return err
 	}
@@ -188,9 +244,9 @@ func (x *Index) Delete(oid uint64) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	head := x.buckets[b]
+	p := &st.pages[0]
 	for pid := head; pid != pagestore.InvalidPage; {
-		p, err := x.readPage(st, pid)
-		if err != nil {
+		if err := x.readPage(st, pid, p); err != nil {
 			return err
 		}
 		for i, o := range p.oids {
@@ -209,31 +265,36 @@ func (x *Index) Delete(oid uint64) error {
 	return fmt.Errorf("%w: %d", ErrNotFound, oid)
 }
 
-func (x *Index) readPage(st *stripe, id pagestore.PageID) (*page, error) {
+// readPage decodes page id into p, reusing p's slot slices.
+func (x *Index) readPage(st *stripe, id pagestore.PageID, p *page) error {
 	if err := x.pool.ReadPage(id, st.pageBuf); err != nil {
-		return nil, fmt.Errorf("hashindex: reading page %d: %w", id, err)
+		return fmt.Errorf("hashindex: reading page %d: %w", id, err)
 	}
 	b := st.pageBuf
-	if b[0] != pageMagic {
-		return nil, fmt.Errorf("hashindex: page %d is not a hash page (magic %#x)", id, b[0])
-	}
 	count := int(binary.LittleEndian.Uint16(b[2:]))
+	if err := x.checkHeader(id, b[0], count); err != nil {
+		return err
+	}
+	p.id = id
+	p.next = pagestore.PageID(binary.LittleEndian.Uint64(b[8:]))
+	p.oids, p.leafs = p.oids[:0], p.leafs[:0]
+	for off, end := headerSize, headerSize+count*slotSize; off < end; off += slotSize {
+		p.oids = append(p.oids, binary.LittleEndian.Uint64(b[off:]))
+		p.leafs = append(p.leafs, pagestore.PageID(binary.LittleEndian.Uint64(b[off+8:])))
+	}
+	return nil
+}
+
+// checkHeader rejects a page that is not a hash page or whose slot count
+// exceeds the page's capacity.
+func (x *Index) checkHeader(id pagestore.PageID, magic byte, count int) error {
+	if magic != pageMagic {
+		return fmt.Errorf("hashindex: page %d is not a hash page (magic %#x)", id, magic)
+	}
 	if count > x.slotsPer {
-		return nil, fmt.Errorf("hashindex: page %d count %d exceeds capacity %d", id, count, x.slotsPer)
+		return fmt.Errorf("hashindex: page %d count %d exceeds capacity %d", id, count, x.slotsPer)
 	}
-	p := &page{
-		id:    id,
-		next:  pagestore.PageID(binary.LittleEndian.Uint64(b[8:])),
-		oids:  make([]uint64, count),
-		leafs: make([]pagestore.PageID, count),
-	}
-	off := headerSize
-	for i := 0; i < count; i++ {
-		p.oids[i] = binary.LittleEndian.Uint64(b[off:])
-		p.leafs[i] = pagestore.PageID(binary.LittleEndian.Uint64(b[off+8:]))
-		off += slotSize
-	}
-	return p, nil
+	return nil
 }
 
 func (x *Index) writePage(st *stripe, p *page) error {
@@ -273,9 +334,9 @@ func (x *Index) ComputeStats() (Stats, error) {
 		st := &x.stripes[b%len(x.stripes)]
 		st.mu.Lock()
 		chain := 0
+		p := &st.pages[0]
 		for pid := head; pid != pagestore.InvalidPage; {
-			p, err := x.readPage(st, pid)
-			if err != nil {
+			if err := x.readPage(st, pid, p); err != nil {
 				st.mu.Unlock()
 				return s, err
 			}

@@ -16,6 +16,7 @@ package summary
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"burtree/internal/geom"
@@ -46,7 +47,9 @@ type Structure struct {
 	byLevel  map[int]map[pagestore.PageID]*NodeInfo
 	parent   map[pagestore.PageID]pagestore.PageID // child -> parent (internal + leaf children)
 
-	leafFull  map[pagestore.PageID]bool // the paper's bit vector
+	// leafCount records each leaf's entry count; the paper's fullness
+	// bit vector is derived from it (count >= maxLeafEntries), so a leaf
+	// write costs one map probe, and none when the count is unchanged.
 	leafCount map[pagestore.PageID]int
 }
 
@@ -60,7 +63,6 @@ func New(maxLeafEntries int) *Structure {
 		internal:       make(map[pagestore.PageID]*NodeInfo),
 		byLevel:        make(map[int]map[pagestore.PageID]*NodeInfo),
 		parent:         make(map[pagestore.PageID]pagestore.PageID),
-		leafFull:       make(map[pagestore.PageID]bool),
 		leafCount:      make(map[pagestore.PageID]int),
 	}
 }
@@ -70,47 +72,52 @@ func (s *Structure) NodeWritten(page pagestore.PageID, level int, self geom.Rect
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if level == 0 {
-		s.leafFull[page] = count >= s.maxLeafEntries
-		s.leafCount[page] = count
+		if c, ok := s.leafCount[page]; !ok || c != count {
+			s.leafCount[page] = count
+		}
 		return
 	}
 	info := s.internal[page]
-	if info == nil {
+	switch {
+	case info == nil:
 		info = &NodeInfo{Page: page, Level: level}
 		s.internal[page] = info
-	} else if info.Level != level {
+		s.levelMap(level)[page] = info
+	case info.Level != level:
 		// A recycled page id changed roles; evict from the old level.
 		delete(s.byLevel[info.Level], page)
 		info.Level = level
+		s.levelMap(level)[page] = info
 	}
+	info.MBR = self
+
+	// Keep the reverse parent map exact, rewriting only the entries
+	// that differ. Most calls are MBR-only rewrites (the parent sync of
+	// every extension) whose children are all mapped already.
+	for _, c := range children {
+		if p, ok := s.parent[c]; !ok || p != page {
+			s.parent[c] = page
+		}
+	}
+	if slices.Equal(info.Children, children) {
+		return
+	}
+	for _, c := range info.Children {
+		if s.parent[c] == page && !slices.Contains(children, c) {
+			delete(s.parent, c)
+		}
+	}
+	info.Children = append(info.Children[:0], children...)
+}
+
+// levelMap returns the by-level index for level, creating it if needed.
+func (s *Structure) levelMap(level int) map[pagestore.PageID]*NodeInfo {
 	lvl := s.byLevel[level]
 	if lvl == nil {
 		lvl = make(map[pagestore.PageID]*NodeInfo)
 		s.byLevel[level] = lvl
 	}
-	lvl[page] = info
-	info.MBR = self
-
-	// Diff children to keep the reverse parent map exact.
-	old := info.Children
-	info.Children = append(info.Children[:0:0], children...)
-	for _, c := range children {
-		s.parent[c] = page
-	}
-	for _, c := range old {
-		if s.parent[c] == page && !contains(children, c) {
-			delete(s.parent, c)
-		}
-	}
-}
-
-func contains(pages []pagestore.PageID, p pagestore.PageID) bool {
-	for _, q := range pages {
-		if q == p {
-			return true
-		}
-	}
-	return false
+	return lvl
 }
 
 // NodeFreed drops a node from the table (rtree.Listener).
@@ -118,7 +125,6 @@ func (s *Structure) NodeFreed(page pagestore.PageID, level int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if level == 0 {
-		delete(s.leafFull, page)
 		delete(s.leafCount, page)
 		delete(s.parent, page)
 		return
@@ -193,8 +199,8 @@ func (s *Structure) MBROf(page pagestore.PageID) (geom.Rect, bool) {
 func (s *Structure) IsLeafFull(page pagestore.PageID) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	full, ok := s.leafFull[page]
-	return full || !ok
+	c, ok := s.leafCount[page]
+	return !ok || c >= s.maxLeafEntries
 }
 
 // LeafCount returns the recorded entry count of a leaf.
@@ -321,7 +327,7 @@ func (s *Structure) OverlappingAtLevel(level int, q geom.Rect, dst []pagestore.P
 func (s *Structure) Counts() (internal, leaves int) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.internal), len(s.leafFull)
+	return len(s.internal), len(s.leafCount)
 }
 
 // SizeBytes estimates the memory footprint of the table and bit vector
@@ -335,7 +341,7 @@ func (s *Structure) SizeBytes() int {
 	for _, info := range s.internal {
 		bytes += 8 /*page*/ + 2 /*level*/ + 32 /*MBR*/ + 8*len(info.Children)
 	}
-	bytes += (len(s.leafFull) + 7) / 8 // bit vector
+	bytes += (len(s.leafCount) + 7) / 8 // bit vector
 	return bytes
 }
 
@@ -350,8 +356,8 @@ func (s *Structure) Validate(t *rtree.Tree) error {
 		return fmt.Errorf("summary: root/height (%d,%d) != tree (%d,%d)", s.root, s.height, t.Root(), t.Height())
 	}
 	if t.Root() == pagestore.InvalidPage {
-		if len(s.internal) != 0 || len(s.leafFull) != 0 {
-			return fmt.Errorf("summary: leftovers after tree emptied: %d internal, %d leaves", len(s.internal), len(s.leafFull))
+		if len(s.internal) != 0 || len(s.leafCount) != 0 {
+			return fmt.Errorf("summary: leftovers after tree emptied: %d internal, %d leaves", len(s.internal), len(s.leafCount))
 		}
 		return nil
 	}
@@ -370,12 +376,8 @@ func (s *Structure) Validate(t *rtree.Tree) error {
 		}
 		if n.IsLeaf() {
 			seenLeaves++
-			wantFull := len(n.Entries) >= s.maxLeafEntries
-			if got, ok := s.leafFull[page]; !ok || got != wantFull {
-				return fmt.Errorf("summary: leaf %d full-bit = %v (ok=%v), want %v", page, got, ok, wantFull)
-			}
-			if got := s.leafCount[page]; got != len(n.Entries) {
-				return fmt.Errorf("summary: leaf %d count = %d, want %d", page, got, len(n.Entries))
+			if got, ok := s.leafCount[page]; !ok || got != len(n.Entries) {
+				return fmt.Errorf("summary: leaf %d count = %d (ok=%v), want %d", page, got, ok, len(n.Entries))
 			}
 			return nil
 		}
@@ -409,8 +411,8 @@ func (s *Structure) Validate(t *rtree.Tree) error {
 	if seenInternal != len(s.internal) {
 		return fmt.Errorf("summary: %d internal entries tracked, tree has %d", len(s.internal), seenInternal)
 	}
-	if seenLeaves != len(s.leafFull) {
-		return fmt.Errorf("summary: %d leaves tracked, tree has %d", len(s.leafFull), seenLeaves)
+	if seenLeaves != len(s.leafCount) {
+		return fmt.Errorf("summary: %d leaves tracked, tree has %d", len(s.leafCount), seenLeaves)
 	}
 	return nil
 }
@@ -424,7 +426,6 @@ func (s *Structure) Rebuild(t *rtree.Tree) error {
 	s.internal = make(map[pagestore.PageID]*NodeInfo)
 	s.byLevel = make(map[int]map[pagestore.PageID]*NodeInfo)
 	s.parent = make(map[pagestore.PageID]pagestore.PageID)
-	s.leafFull = make(map[pagestore.PageID]bool)
 	s.leafCount = make(map[pagestore.PageID]int)
 	s.mu.Unlock()
 
