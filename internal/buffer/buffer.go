@@ -15,10 +15,19 @@
 // table that readers consult, so concurrent operations overlap their disk
 // time — essential for the multi-threaded throughput study, where page
 // latency is simulated.
+//
+// Steady-state page traffic allocates nothing and touches no map. Page
+// ids are dense from 1, so a page table indexed by id maps each page to
+// its frame slot, its newest in-flight write-back and its disk-content
+// version. The LRU list is intrusive (int32 links between slots), and
+// page buffers are recycled: a clean victim's slot keeps its buffer for
+// the incoming page, a dirty victim's buffer travels with its write-back
+// and returns to a spare list once that write-back has completed. Buffers
+// are only read or reused under the latch, except by the one write-back
+// that owns them.
 package buffer
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"sync"
@@ -27,44 +36,72 @@ import (
 	"burtree/internal/stats"
 )
 
+// nilSlot terminates the intrusive LRU links.
+const nilSlot int32 = -1
+
 // Pool is an LRU write-back buffer pool over a pagestore.Store. It is safe
 // for concurrent use; the mutex plays the role of a buffer-manager latch
 // while higher-level consistency is the job of the DGL lock manager.
 type Pool struct {
-	mu       sync.Mutex
-	store    *pagestore.Store
-	io       *stats.IO
-	cap      int
-	frames   map[pagestore.PageID]*list.Element
-	lru      *list.List // front = most recently used
-	inflight map[pagestore.PageID]*inflightWrite
-	// version counts disk-content events per page (write-back
+	mu sync.Mutex
+	// written is signaled on mu whenever a write-back completes: a
+	// write-back waits on it for its predecessor on the same page, and
+	// Flush for pending to drain.
+	written sync.Cond
+	store   *pagestore.Store
+	io      *stats.IO
+	cap     int
+
+	// pages is the page table, indexed by page id. It grows under the
+	// latch to cover the store's allocated pages.
+	pages []pageState
+	// frames holds the slots; they are laid out on first use, up to
+	// cap of them.
+	frames     []frame
+	head, tail int32 // most and least recently used slot
+	resident   int
+	freeSlots  []int32  // laid-out slots holding no page (each keeps its buffer)
+	spare      [][]byte // page buffers no slot or write-back holds
+	pending    int      // write-backs published and not yet completed
+	freeWrites []*inflightWrite
+}
+
+// pageState is one page's entry in the page table.
+type pageState struct {
+	slot int32 // 1 + the frame slot holding the page; 0 = not resident
+	// version counts disk-content events of the page (write-back
 	// completions and discards). A read miss snapshots it before its
 	// unlatched disk read and re-checks after: a bump means the disk
 	// may have changed under the read, so caching it could serve stale
 	// bytes forever.
-	version map[pagestore.PageID]uint64
+	version uint64
+	// inflight is the newest write-back of the page still running.
+	inflight *inflightWrite
 }
 
+// frame is one slot of the pool: a resident page and its LRU links.
 type frame struct {
-	id    pagestore.PageID
-	data  []byte
-	dirty bool
+	id         pagestore.PageID
+	data       []byte
+	prev, next int32 // towards the most / least recently used end
+	dirty      bool
 }
 
 // inflightWrite is a dirty victim on its way to disk. Readers serve from
 // it; a newer eviction of the same page chains behind it so disk writes
 // of one page are totally ordered.
 //
-// The entry stays in the in-flight table until its write-back completes
-// — even when canceled by Discard — so Flush's drain and later
-// evictions of the same page keep their ordering against it.
+// The entry stays in the page table until its write-back completes —
+// even when canceled by Discard — so Flush's drain and later evictions
+// of the same page keep their ordering against it. All fields are
+// guarded by the pool latch; data is also read, unlatched, by the
+// write-back that owns it.
 type inflightWrite struct {
 	id       pagestore.PageID
 	data     []byte
-	done     chan struct{}
-	prev     *inflightWrite // earlier write of the same page, if still running
-	canceled bool           // set under p.mu: the page was discarded; skip the disk write
+	prev     *inflightWrite // earlier write of the same page, if still linked
+	done     bool
+	canceled bool // the page was discarded; skip the disk write
 }
 
 // New creates a pool of at most capacity pages over store. Physical
@@ -74,15 +111,15 @@ func New(store *pagestore.Store, capacity int) *Pool {
 	if capacity < 0 {
 		capacity = 0
 	}
-	return &Pool{
-		store:    store,
-		io:       store.IO(),
-		cap:      capacity,
-		frames:   make(map[pagestore.PageID]*list.Element, capacity),
-		lru:      list.New(),
-		inflight: make(map[pagestore.PageID]*inflightWrite),
-		version:  make(map[pagestore.PageID]uint64),
+	p := &Pool{
+		store: store,
+		io:    store.IO(),
+		cap:   capacity,
+		head:  nilSlot,
+		tail:  nilSlot,
 	}
+	p.written.L = &p.mu
+	return p
 }
 
 // Capacity returns the configured frame count.
@@ -92,7 +129,7 @@ func (p *Pool) Capacity() int { return p.cap }
 func (p *Pool) Len() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.lru.Len()
+	return p.resident
 }
 
 // Store returns the underlying page store.
@@ -100,6 +137,8 @@ func (p *Pool) Store() *pagestore.Store { return p.store }
 
 // ReadPage copies the page into dst, serving from the buffer when
 // possible. dst must be exactly one page long.
+//
+//burlint:hotpath
 func (p *Pool) ReadPage(id pagestore.PageID, dst []byte) error {
 	if p.cap == 0 {
 		return p.store.ReadInto(id, dst)
@@ -109,69 +148,64 @@ func (p *Pool) ReadPage(id pagestore.PageID, dst []byte) error {
 	}
 	for attempt := 0; ; attempt++ {
 		p.mu.Lock()
-		if el, ok := p.frames[id]; ok {
-			p.lru.MoveToFront(el)
-			copy(dst, el.Value.(*frame).data)
+		if s := p.slotLocked(id); s != nilSlot {
+			p.touchLocked(s)
+			copy(dst, p.frames[s].data)
 			p.mu.Unlock()
 			p.io.CountBufferHit()
 			return nil
 		}
-		if iw, ok := p.inflight[id]; ok && !iw.canceled {
+		if iw := p.inflightLocked(id); iw != nil {
 			// The latest contents are on their way to disk; serve them and
 			// re-cache without any physical read. (A canceled write holds
 			// discarded data and must never resurface.)
-			f := &frame{id: id, data: append([]byte(nil), iw.data...)}
-			copy(dst, f.data)
-			victim := p.insertLocked(f)
+			copy(dst, iw.data)
+			victim := p.cacheLocked(id, dst, false)
 			p.mu.Unlock()
 			p.io.CountBufferHit()
 			return p.writeBack(victim)
 		}
-		ver := p.version[id]
+		ver := p.versionLocked(id)
 		if attempt >= 2 {
 			// Repeated disk-content changes raced the unlatched reads
 			// below; read under the latch, which is totally ordered
 			// against write-back completions. Rare, so the lost overlap
 			// does not matter.
-			data := make([]byte, p.store.PageSize())
-			if err := p.store.ReadInto(id, data); err != nil {
+			if err := p.store.ReadInto(id, dst); err != nil {
 				p.mu.Unlock()
 				return err
 			}
-			copy(dst, data)
-			victim := p.insertLocked(&frame{id: id, data: data})
+			victim := p.cacheLocked(id, dst, false)
 			p.mu.Unlock()
 			return p.writeBack(victim)
 		}
 		p.mu.Unlock()
 
-		// Miss: fetch from disk with no latch held.
-		data := make([]byte, p.store.PageSize())
-		if err := p.store.ReadInto(id, data); err != nil {
+		// Miss: fetch from disk into the caller's buffer with no latch
+		// held; the frame copy is taken under the latch below.
+		if err := p.store.ReadInto(id, dst); err != nil {
 			return err
 		}
 
 		p.mu.Lock()
-		if el, ok := p.frames[id]; ok {
+		if s := p.slotLocked(id); s != nilSlot {
 			// Another thread cached the page meanwhile; its copy may be
 			// newer (a logical write could have landed), so prefer it.
-			p.lru.MoveToFront(el)
-			copy(dst, el.Value.(*frame).data)
+			p.touchLocked(s)
+			copy(dst, p.frames[s].data)
 			p.mu.Unlock()
 			return nil
 		}
-		if iw, ok := p.inflight[id]; ok && !iw.canceled {
-			copy(data, iw.data)
-		} else if p.version[id] != ver {
+		if iw := p.inflightLocked(id); iw != nil {
+			copy(dst, iw.data)
+		} else if p.versionLocked(id) != ver {
 			// A write-back or discard completed between the two latch
 			// holds: the bytes read may predate it. Caching them would
 			// serve stale data until the next eviction; retry instead.
 			p.mu.Unlock()
 			continue
 		}
-		f := &frame{id: id, data: data}
-		copy(dst, data)
-		victim := p.insertLocked(f)
+		victim := p.cacheLocked(id, dst, false)
 		p.mu.Unlock()
 		return p.writeBack(victim)
 	}
@@ -192,15 +226,17 @@ type Scanner interface {
 // scratch through ReadPage, so it is charged exactly as ReadPage
 // charges it, and scans scratch. scratch must be exactly one page
 // long.
+//
+//burlint:hotpath
 func (p *Pool) ScanPage(id pagestore.PageID, scratch []byte, s Scanner) error {
 	if len(scratch) != p.store.PageSize() {
 		return pagestore.ErrPageSize
 	}
 	if p.cap > 0 {
 		p.mu.Lock()
-		if el, ok := p.frames[id]; ok {
-			p.lru.MoveToFront(el)
-			s.Scan(el.Value.(*frame).data)
+		if slot := p.slotLocked(id); slot != nilSlot {
+			p.touchLocked(slot)
+			s.Scan(p.frames[slot].data)
 			p.mu.Unlock()
 			p.io.CountBufferHit()
 			return nil
@@ -217,6 +253,8 @@ func (p *Pool) ScanPage(id pagestore.PageID, scratch []byte, s Scanner) error {
 // WritePage stores the page contents in the buffer, deferring the
 // physical write until eviction or Flush. src must be exactly one page
 // long.
+//
+//burlint:hotpath
 func (p *Pool) WritePage(id pagestore.PageID, src []byte) error {
 	if p.cap == 0 {
 		return p.store.Write(id, src)
@@ -225,44 +263,184 @@ func (p *Pool) WritePage(id pagestore.PageID, src []byte) error {
 		return pagestore.ErrPageSize
 	}
 	p.mu.Lock()
-	if el, ok := p.frames[id]; ok {
-		f := el.Value.(*frame)
+	if s := p.slotLocked(id); s != nilSlot {
+		f := &p.frames[s]
 		copy(f.data, src)
 		f.dirty = true
-		p.lru.MoveToFront(el)
+		p.touchLocked(s)
 		p.mu.Unlock()
 		return nil
 	}
-	f := &frame{id: id, data: append([]byte(nil), src...), dirty: true}
-	victim := p.insertLocked(f)
+	if uint64(id) >= uint64(len(p.pages)) && !p.growLocked(id) {
+		p.mu.Unlock()
+		return fmt.Errorf("buffer: writing page %d: %w", id, pagestore.ErrPageBounds)
+	}
+	victim := p.cacheLocked(id, src, true)
 	p.mu.Unlock()
 	return p.writeBack(victim)
 }
 
-// insertLocked adds f as the most recently used frame. If the pool is
-// full it detaches the LRU frame; a dirty victim is published to the
-// in-flight table and returned for physical write-back by the caller
-// after the latch is released. Caller holds p.mu.
-func (p *Pool) insertLocked(f *frame) *inflightWrite {
-	var iw *inflightWrite
-	if p.lru.Len() >= p.cap {
-		if tail := p.lru.Back(); tail != nil {
-			victim := tail.Value.(*frame)
-			p.lru.Remove(tail)
-			delete(p.frames, victim.id)
-			if victim.dirty {
-				iw = &inflightWrite{
-					id:   victim.id,
-					data: victim.data,
-					done: make(chan struct{}),
-					prev: p.inflight[victim.id],
-				}
-				p.inflight[victim.id] = iw
-			}
+// slotLocked returns the slot holding page id, or nilSlot. Caller holds
+// p.mu.
+func (p *Pool) slotLocked(id pagestore.PageID) int32 {
+	if uint64(id) < uint64(len(p.pages)) {
+		return p.pages[id].slot - 1
+	}
+	return nilSlot
+}
+
+// inflightLocked returns the newest in-flight write-back of page id
+// unless there is none or it was canceled. Caller holds p.mu.
+func (p *Pool) inflightLocked(id pagestore.PageID) *inflightWrite {
+	if uint64(id) < uint64(len(p.pages)) {
+		if iw := p.pages[id].inflight; iw != nil && !iw.canceled {
+			return iw
 		}
 	}
-	p.frames[f.id] = p.lru.PushFront(f)
+	return nil
+}
+
+// versionLocked returns the disk-content version of page id. Caller
+// holds p.mu.
+func (p *Pool) versionLocked(id pagestore.PageID) uint64 {
+	if uint64(id) < uint64(len(p.pages)) {
+		return p.pages[id].version
+	}
+	return 0
+}
+
+// growLocked extends the page table to every page the store has
+// allocated. It reports false, leaving the table alone, when id lies
+// beyond them. Caller holds p.mu and has checked id is not covered yet.
+func (p *Pool) growLocked(id pagestore.PageID) bool {
+	n := p.store.NumAllocated() + 1
+	if uint64(id) >= uint64(n) {
+		return false
+	}
+	p.pages = append(p.pages, make([]pageState, n-len(p.pages))...) //burlint:ignore hotpath cold: the table grows only when the store does, amortized by append
+	return true
+}
+
+// cacheLocked makes page id the most recently used frame, holding a copy
+// of src. If the pool is full it detaches the LRU frame; a dirty victim
+// is published to the page table as an in-flight write and returned for
+// physical write-back by the caller after the latch is released. The
+// page must not be resident and must lie in the store. Caller holds p.mu.
+func (p *Pool) cacheLocked(id pagestore.PageID, src []byte, dirty bool) *inflightWrite {
+	if uint64(id) >= uint64(len(p.pages)) {
+		p.growLocked(id)
+	}
+	var iw *inflightWrite
+	var s int32
+	if p.resident >= p.cap {
+		// Evict the LRU frame and reuse its slot; a clean victim's
+		// buffer stays with the slot.
+		s = p.tail
+		p.unlinkLocked(s)
+		v := &p.frames[s]
+		p.pages[v.id].slot = 0
+		if v.dirty {
+			iw = p.publishWriteLocked(v.id, v.data)
+			v.data = p.bufferLocked()
+		}
+	} else {
+		s = p.freeSlotLocked()
+		p.resident++
+	}
+	f := &p.frames[s]
+	f.id, f.dirty = id, dirty
+	copy(f.data, src)
+	p.pages[id].slot = s + 1
+	p.pushFrontLocked(s)
 	return iw
+}
+
+// freeSlotLocked returns an unlinked slot with a buffer, laying a new
+// one out when every laid-out slot is in use. Caller holds p.mu.
+func (p *Pool) freeSlotLocked() int32 {
+	if n := len(p.freeSlots); n > 0 {
+		s := p.freeSlots[n-1]
+		p.freeSlots = p.freeSlots[:n-1]
+		return s
+	}
+	if len(p.frames) == cap(p.frames) {
+		// Grow to at most cap slots so a large pool that never fills
+		// pays only for the slots it uses.
+		n := min(max(2*len(p.frames), 64), p.cap)
+		grown := make([]frame, len(p.frames), n) //burlint:ignore hotpath cold: slots are laid out at most once each, up to the capacity
+		copy(grown, p.frames)
+		p.frames = grown
+	}
+	p.frames = append(p.frames, frame{data: p.bufferLocked(), prev: nilSlot, next: nilSlot})
+	return int32(len(p.frames) - 1)
+}
+
+// bufferLocked returns a page buffer from the spare list, allocating
+// one only when the list is empty. Caller holds p.mu.
+func (p *Pool) bufferLocked() []byte {
+	if n := len(p.spare); n > 0 {
+		b := p.spare[n-1]
+		p.spare[n-1] = nil
+		p.spare = p.spare[:n-1]
+		return b
+	}
+	return make([]byte, p.store.PageSize()) //burlint:ignore hotpath first use: buffers are recycled through the spare list afterwards
+}
+
+// publishWriteLocked registers data as the newest in-flight write of
+// page id, chained behind any earlier one still running. Caller holds
+// p.mu.
+func (p *Pool) publishWriteLocked(id pagestore.PageID, data []byte) *inflightWrite {
+	var iw *inflightWrite
+	if n := len(p.freeWrites); n > 0 {
+		iw = p.freeWrites[n-1]
+		p.freeWrites[n-1] = nil
+		p.freeWrites = p.freeWrites[:n-1]
+	} else {
+		iw = new(inflightWrite)
+	}
+	st := &p.pages[id]
+	*iw = inflightWrite{id: id, data: data, prev: st.inflight}
+	st.inflight = iw
+	p.pending++
+	return iw
+}
+
+// touchLocked makes slot s the most recently used. Caller holds p.mu.
+func (p *Pool) touchLocked(s int32) {
+	if p.head != s {
+		p.unlinkLocked(s)
+		p.pushFrontLocked(s)
+	}
+}
+
+// unlinkLocked removes slot s from the LRU list. Caller holds p.mu.
+func (p *Pool) unlinkLocked(s int32) {
+	f := &p.frames[s]
+	if f.prev != nilSlot {
+		p.frames[f.prev].next = f.next
+	} else {
+		p.head = f.next
+	}
+	if f.next != nilSlot {
+		p.frames[f.next].prev = f.prev
+	} else {
+		p.tail = f.prev
+	}
+	f.prev, f.next = nilSlot, nilSlot
+}
+
+// pushFrontLocked links slot s in as the most recently used. Caller
+// holds p.mu.
+func (p *Pool) pushFrontLocked(s int32) {
+	f := &p.frames[s]
+	f.prev, f.next = nilSlot, p.head
+	if p.head != nilSlot {
+		p.frames[p.head].prev = s
+	} else {
+		p.tail = s
+	}
+	p.head = s
 }
 
 // writeBack performs the physical write of an evicted dirty frame with
@@ -274,47 +452,44 @@ func (p *Pool) writeBack(iw *inflightWrite) error {
 	if iw == nil {
 		return nil
 	}
-	if iw.prev != nil {
-		<-iw.prev.done
-	}
 	p.mu.Lock()
-	canceled := iw.canceled
+	for iw.prev != nil {
+		if !iw.prev.done {
+			p.written.Wait()
+			continue
+		}
+		// The predecessor is done and nothing else links to it: this
+		// write is its only successor, and readers and Discard reach
+		// writes only through the newest one and its prev chain.
+		prev := iw.prev
+		iw.prev = nil
+		p.freeWrites = append(p.freeWrites, prev)
+	}
+	id, data, canceled := iw.id, iw.data, iw.canceled
 	p.mu.Unlock()
 	var err error
 	if !canceled {
-		err = p.store.Write(iw.id, iw.data)
+		err = p.store.Write(id, data)
 	}
 	p.mu.Lock()
-	if p.inflight[iw.id] == iw {
-		delete(p.inflight, iw.id)
+	st := &p.pages[id]
+	st.version++
+	iw.done = true
+	iw.data = nil
+	p.spare = append(p.spare, data)
+	if st.inflight == iw {
+		st.inflight = nil
+		p.freeWrites = append(p.freeWrites, iw)
 	}
-	p.version[iw.id]++
+	p.pending--
+	p.written.Broadcast()
 	p.mu.Unlock()
-	close(iw.done)
 	if err != nil && !errors.Is(err, pagestore.ErrPageFreed) {
 		// A freed page means the node was released while its last
 		// eviction was in flight; the contents are irrelevant.
-		return fmt.Errorf("buffer: evicting page %d: %w", iw.id, err)
+		return fmt.Errorf("buffer: evicting page %d: %w", id, err)
 	}
 	return nil
-}
-
-// drainInflightLocked waits for all in-flight writes to finish. The
-// latch is released while waiting and re-acquired before returning.
-func (p *Pool) drainInflightLocked() {
-	for {
-		var iw *inflightWrite
-		for _, w := range p.inflight {
-			iw = w
-			break
-		}
-		if iw == nil {
-			return
-		}
-		p.mu.Unlock()
-		<-iw.done
-		p.mu.Lock()
-	}
 }
 
 // Discard drops the page from the pool without writing it back. Used when
@@ -334,14 +509,21 @@ func (p *Pool) Discard(id pagestore.PageID) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if el, ok := p.frames[id]; ok {
-		p.lru.Remove(el)
-		delete(p.frames, id)
+	if uint64(id) >= uint64(len(p.pages)) && !p.growLocked(id) {
+		return
 	}
-	for iw := p.inflight[id]; iw != nil; iw = iw.prev {
+	st := &p.pages[id]
+	if st.slot != 0 {
+		s := st.slot - 1
+		p.unlinkLocked(s)
+		st.slot = 0
+		p.resident--
+		p.freeSlots = append(p.freeSlots, s)
+	}
+	for iw := st.inflight; iw != nil; iw = iw.prev {
 		iw.canceled = true
 	}
-	p.version[id]++
+	st.version++
 }
 
 // Flush writes all dirty frames to disk. Frames stay resident (clean).
@@ -353,9 +535,11 @@ func (p *Pool) Flush() error {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.drainInflightLocked()
-	for el := p.lru.Front(); el != nil; el = el.Next() {
-		f := el.Value.(*frame)
+	for p.pending > 0 {
+		p.written.Wait()
+	}
+	for s := p.head; s != nilSlot; s = p.frames[s].next {
+		f := &p.frames[s]
 		if !f.dirty {
 			continue
 		}
@@ -372,13 +556,20 @@ func (p *Pool) Flush() error {
 func (p *Pool) Invalidate() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.frames = make(map[pagestore.PageID]*list.Element, p.cap)
-	p.lru.Init()
+	for s := p.head; s != nilSlot; {
+		f := &p.frames[s]
+		next := f.next
+		p.pages[f.id].slot = 0
+		f.prev, f.next = nilSlot, nilSlot
+		p.freeSlots = append(p.freeSlots, s)
+		s = next
+	}
+	p.head, p.tail, p.resident = nilSlot, nilSlot, 0
 	// Cancel (rather than drop) in-flight evictions so their stale data
 	// cannot land after the invalidation point.
-	for _, iw := range p.inflight {
-		for w := iw; w != nil; w = w.prev {
-			w.canceled = true
+	for i := range p.pages {
+		for iw := p.pages[i].inflight; iw != nil; iw = iw.prev {
+			iw.canceled = true
 		}
 	}
 }
@@ -387,6 +578,5 @@ func (p *Pool) Invalidate() {
 func (p *Pool) Resident(id pagestore.PageID) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	_, ok := p.frames[id]
-	return ok
+	return p.slotLocked(id) != nilSlot
 }

@@ -2,6 +2,7 @@ package buffer
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"sync"
 	"testing"
@@ -401,6 +402,22 @@ func TestInflightServesLatestData(t *testing.T) {
 		}
 	}
 	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestWritePageBeyondStore(t *testing.T) {
+	p, ids, _ := newPool(t, 4, 2)
+	// The page table grows with the store, so a write to a page the
+	// store never allocated fails up front instead of at eviction.
+	beyond := ids[len(ids)-1] + 1
+	if err := p.WritePage(beyond, page(1)); !errors.Is(err, pagestore.ErrPageBounds) {
+		t.Fatalf("write past the store: err = %v, want ErrPageBounds", err)
+	}
+	if p.Resident(beyond) || p.Len() != 0 {
+		t.Fatal("rejected write left a frame behind")
+	}
+	if err := p.WritePage(ids[1], page(2)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -18,8 +18,8 @@ func lruOrder(p *Pool) []pagestore.PageID {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var out []pagestore.PageID
-	for el := p.lru.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*frame).id)
+	for s := p.head; s != nilSlot; s = p.frames[s].next {
+		out = append(out, p.frames[s].id)
 	}
 	return out
 }

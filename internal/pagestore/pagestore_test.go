@@ -101,6 +101,10 @@ func TestBoundsChecks(t *testing.T) {
 	if err := s.Free(PageID(99)); !errors.Is(err, ErrPageBounds) {
 		t.Fatalf("out of range free err = %v", err)
 	}
+	// An id past the int range must fail the same way, not wrap.
+	if err := s.ReadInto(PageID(1<<63), buf); !errors.Is(err, ErrPageBounds) {
+		t.Fatalf("huge id read err = %v", err)
+	}
 }
 
 func TestBufferSizeMismatch(t *testing.T) {
@@ -196,5 +200,28 @@ func TestQuickWriteReadRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestReadWriteAllocateNothing(t *testing.T) {
+	s := New(128, nil)
+	ids := []PageID{s.Alloc(), s.Alloc(), s.Alloc()}
+	if err := s.Free(ids[1]); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 128)
+	i := 0
+	op := func() {
+		id := ids[2*(i%2)] // skip the freed page
+		i++
+		if err := s.Write(id, buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.ReadInto(id, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(200, op); allocs != 0 {
+		t.Fatalf("Write+ReadInto: %.1f allocs/op, want 0", allocs)
 	}
 }

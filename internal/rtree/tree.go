@@ -109,9 +109,10 @@ type Tree struct {
 	size       int // number of data entries
 	listener   Listener
 
-	// bufPool recycles page-sized scratch buffers. Reads may run
-	// concurrently (under a shared latch above this package), so scratch
-	// space must not be shared between calls.
+	// bufPool recycles page-sized scratch buffers as *[]byte, so Put
+	// boxes no slice header. Reads may run concurrently (under a shared
+	// latch above this package), so scratch space must not be shared
+	// between calls.
 	bufPool sync.Pool
 }
 
@@ -131,7 +132,10 @@ func New(pool *buffer.Pool, cfg Config) *Tree {
 		maxEntries: maxE,
 		minEntries: minE,
 		root:       pagestore.InvalidPage,
-		bufPool:    sync.Pool{New: func() interface{} { return make([]byte, ps) }},
+		bufPool: sync.Pool{New: func() any {
+			b := make([]byte, ps)
+			return &b
+		}},
 	}
 }
 
@@ -192,8 +196,9 @@ func (t *Tree) ReadNode(page pagestore.PageID) (*Node, error) {
 }
 
 func (t *Tree) readNodeInto(page pagestore.PageID, n *Node) error {
-	buf := t.bufPool.Get().([]byte)
-	defer t.bufPool.Put(buf)
+	bp := t.bufPool.Get().(*[]byte)
+	defer t.bufPool.Put(bp)
+	buf := *bp
 	if err := t.pool.ReadPage(page, buf); err != nil {
 		return fmt.Errorf("rtree: reading node %d: %w", page, err)
 	}
@@ -207,8 +212,9 @@ func (t *Tree) readNodeInto(page pagestore.PageID, n *Node) error {
 // WriteNode encodes and writes the node back to its page, firing the
 // listener. Exposed for the bottom-up strategies in internal/core.
 func (t *Tree) WriteNode(n *Node) error {
-	buf := t.bufPool.Get().([]byte)
-	defer t.bufPool.Put(buf)
+	bp := t.bufPool.Get().(*[]byte)
+	defer t.bufPool.Put(bp)
+	buf := *bp
 	if err := encodeNode(n, buf, t.cfg.ParentPointers); err != nil {
 		return err
 	}

@@ -319,8 +319,8 @@ func TestRebalanceSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRebalanceAutoLoop enables the background loop with a tiny
-// interval and checks it fires on its own and shuts down with Close.
+// TestRebalanceAutoLoop enables the background loop and checks it fires
+// on its own and shuts down with Close.
 func TestRebalanceAutoLoop(t *testing.T) {
 	x, err := OpenSharded(Options{
 		Strategy:        GeneralizedBottomUp,
@@ -329,9 +329,11 @@ func TestRebalanceAutoLoop(t *testing.T) {
 	}, ShardOptions{
 		Shards:    4,
 		Partition: ShardGrid,
-		// MinOps is lowered so the short 2ms sampling windows can carry a
-		// full window's worth of the test's update stream.
-		Rebalance: RebalanceOptions{Enabled: true, Interval: 2 * time.Millisecond, MinOps: 64},
+		// Each sampling window must carry MinOps updates by itself. A
+		// 50ms window holds hundreds of updates even under the race
+		// detector, so the trigger does not depend on how fast the
+		// machine runs the writer.
+		Rebalance: RebalanceOptions{Enabled: true, Interval: 50 * time.Millisecond, MinOps: 64},
 	})
 	if err != nil {
 		t.Fatal(err)
